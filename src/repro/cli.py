@@ -12,7 +12,6 @@ repository's extensions::
     python -m repro swizzle [--page-sizes 512 4096]  # CTA-swizzle head-to-head
     python -m repro table1 | table2 | table4
     python -m repro hw-validation | ablations | energy | paging | proactive
-    python -m repro bench [--smoke] [--gate FILE]   # engine perf benchmark
     python -m repro profile fig9:conv --trace t.json --counters c.json
     python -m repro fuzz --seed 0 --n 200 --shrink  # differential fuzzing
     python -m repro serve --store DIR               # what-if query service
@@ -32,7 +31,6 @@ from repro.compiler.passes import compile_program
 from repro.engine.simulator import simulate
 from repro.experiments import (
     ablations,
-    benchperf,
     energy,
     fig4,
     fig9,
@@ -62,7 +60,6 @@ from repro.workloads.suite import all_workloads, get_workload
 __all__ = ["main"]
 
 _EXPERIMENT_MAINS = {
-    "bench": benchperf.main,
     "servebench": servebench.main,
     "serve": serve_server.main,
     "loadgen": loadgen.main,
@@ -342,11 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     for name in _EXPERIMENT_MAINS:
-        if name == "bench":
-            sub.add_parser(
-                name, help="engine perf benchmark (forwards remaining args)"
-            )
-        elif name == "servebench":
+        if name == "servebench":
             sub.add_parser(
                 name, help="serving-stack SLO benchmark (cold vs warm store)"
             )
@@ -386,7 +379,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     # Experiment commands forward their own flags to the experiment parser.
     if argv and argv[0] in _EXPERIMENT_MAINS:
         code = _EXPERIMENT_MAINS[argv[0]](argv[1:])
-        if code:  # bench returns a gate/parity exit status
+        if code:  # servebench, regress, fuzz... return a gate exit status
             raise SystemExit(code)
         return
     args = build_parser().parse_args(argv)

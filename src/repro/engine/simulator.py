@@ -21,7 +21,6 @@ once per launch.
 from __future__ import annotations
 
 import os
-import time
 from collections import OrderedDict
 from typing import List, Optional
 
@@ -117,24 +116,6 @@ class Simulator:
     a no-op unless observability is enabled.
     """
 
-    #: zero-valued template for the walk telemetry counters
-    _COUNTER_KEYS = (
-        "free_accesses",
-        "sync_elements",
-        "sync_events",
-        "spec_events",
-        "spec_rounds",
-        "spec_mispredicts",
-        "pred_events",
-        "pred_correct",
-        "sync_scalar",
-        "sync_fallbacks",
-        "l2_bypass",
-        "memo_hits",
-        "memo_misses",
-        "memo_ineligible",
-    )
-
     def __init__(
         self,
         config: SystemConfig,
@@ -156,30 +137,6 @@ class Simulator:
         self.walk_memo = walk_memo
         self.obs_session = obs_session
         self._obs_strategy = ""  # strategy label for counters, set per run()
-        #: wall-clock seconds per stage, accumulated across run() calls.
-        #: ``walk_free``/``walk_sync`` are sub-splits of ``walk`` (vector
-        #: engine only; their sum is <= walk, the rest is stream setup).
-        self.stage_times = self._fresh_stage_times()
-        #: speculation/memoisation telemetry, accumulated across run() calls
-        self.walk_counters = dict.fromkeys(self._COUNTER_KEYS, 0)
-        #: per-launch telemetry records ({kernel, launch_index, memo, ...})
-        self.walk_log: List[dict] = []
-
-    @staticmethod
-    def _fresh_stage_times() -> dict:
-        return {
-            "trace": 0.0,
-            "walk": 0.0,
-            "finalize": 0.0,
-            "walk_free": 0.0,
-            "walk_sync": 0.0,
-        }
-
-    def reset_stage_times(self) -> None:
-        """Zero stage times and walk telemetry (counters + per-launch log)."""
-        self.stage_times = self._fresh_stage_times()
-        self.walk_counters = dict.fromkeys(self._COUNTER_KEYS, 0)
-        self.walk_log = []
 
     # ------------------------------------------------------------------
     def run(
@@ -305,7 +262,6 @@ class Simulator:
         tr = session.tracer
         reg = session.counters
         cache = self.trace_cache if self.trace_cache is not None else default_trace_cache()
-        t0 = time.perf_counter()
         launch_key = (compiled.program, launch_index)
         cache_hits_before = cache.hits
         with tr.span("trace.fetch", cat="trace"):
@@ -314,21 +270,8 @@ class Simulator:
             "trace_cache",
             outcome="hit" if cache.hits > cache_hits_before else "miss",
         )
-        t1 = time.perf_counter()
         order = _wave_order(lp.tb_nodes, cfg.num_nodes)
 
-        counters = self.walk_counters
-        before = {
-            k: counters[k]
-            for k in (
-                "sync_elements",
-                "spec_events",
-                "spec_mispredicts",
-                "spec_rounds",
-                "pred_events",
-                "pred_correct",
-            )
-        }
         memo = self.walk_memo
         if memo is None and memo_enabled():
             memo = default_walk_memo()
@@ -358,29 +301,13 @@ class Simulator:
             ):
                 metrics, xbar, dram, transfers, stats = walk_launch(
                     cfg, launch_index, lp, plan, l2, trace, order, page_counts,
-                    homes=homes, timers=self.stage_times, counters=counters,
-                    session=session,
+                    homes=homes, session=session,
                 )
             if key is not None:
                 memo.put(key, metrics, xbar, dram, transfers, stats)
-        counters["memo_" + ("ineligible" if memo_status == "ineligible" else
-                            ("hits" if memo_status == "hit" else "misses"))] += 1
         reg.inc("walk.memo", outcome=memo_status)
-        self.walk_log.append(
-            {
-                "kernel": metrics.kernel,
-                "launch_index": launch_index,
-                "memo": memo_status,
-                **{k: counters[k] - before[k] for k in before},
-            }
-        )
-        t2 = time.perf_counter()
         with tr.span("finalize", cat="walk"):
             self._finalize(metrics, xbar, dram, transfers, stats, session=session)
-        t3 = time.perf_counter()
-        self.stage_times["trace"] += t1 - t0
-        self.stage_times["walk"] += t2 - t1
-        self.stage_times["finalize"] += t3 - t2
         return metrics
 
     # ------------------------------------------------------------------
@@ -403,8 +330,6 @@ class Simulator:
         )
         faults_before = page_table.fault_count
 
-        walk_start = time.perf_counter()
-        trace_time = 0.0
         tracer = launch_tracer(launch, plan.space, sector_bytes)
         warps_per_tb = -(-kernel.block.count // cfg.warp_size)
         insts_per_tb = warps_per_tb * kernel.insts_per_thread * tracer.trip
@@ -449,10 +374,7 @@ class Simulator:
                 l1 = l1_filters[tb]
                 local_sets = l2_sets[node]
                 node_stats = stats_acc[node]
-                t_tr = time.perf_counter()
-                reqs = tracer.iteration_requests(tb, m)
-                trace_time += time.perf_counter() - t_tr
-                for sr in reqs:
+                for sr in tracer.iteration_requests(tb, m):
                     homes = page_table.homes_of_pages(sr.pages, toucher=node)
                     if page_counts is not None:
                         np.add.at(page_counts[node], sr.pages, 1)
@@ -498,12 +420,7 @@ class Simulator:
                     xbar_requests[node] += n_req
 
         metrics.faults = page_table.fault_count - faults_before
-        fin_start = time.perf_counter()
         self._finalize(metrics, xbar_requests, dram_requests, transfers, stats_acc)
-        fin_end = time.perf_counter()
-        self.stage_times["trace"] += trace_time
-        self.stage_times["walk"] += (fin_start - walk_start) - trace_time
-        self.stage_times["finalize"] += fin_end - fin_start
         return metrics
 
     # ------------------------------------------------------------------

@@ -174,23 +174,8 @@ class LaunchTrace:
                 # Pathological reuse pattern: exact-count windows would cost
                 # more than replaying the filter sequentially.
                 return self._compute_survivors_sequential(capacity)
-            # Distinct sectors in a window = references whose own previous
-            # occurrence predates the window (first-in-window).  Gather all
-            # windows into one flat stream tagged with their query id and
-            # count first-in-window refs with a single compare + bincount.
-            starts = prev[ambiguous] + 1
-            lens = win[ambiguous]
-            prefix = np.zeros(lens.size, dtype=np.int64)
-            np.cumsum(lens[:-1], out=prefix[1:])
-            reps = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
-            flat = (
-                starts[reps]
-                + np.arange(int(lens.sum()), dtype=np.int64)
-                - prefix[reps]
-            )
-            first_in = prev[flat] <= prev[ambiguous][reps]
-            cnt = np.bincount(reps[first_in], minlength=lens.size)
-            miss[ambiguous[cnt >= capacity]] = True
+            distinct = _window_distinct(prev, ambiguous, win)
+            miss[ambiguous[distinct >= capacity]] = True
         return miss
 
     def _compute_survivors_sequential(self, capacity: int) -> np.ndarray:
@@ -243,6 +228,47 @@ class LaunchTrace:
             )
             self._survivor_streams[key] = cached
         return cached
+
+
+#: Most window elements :func:`_window_distinct` gathers at once.  The
+#: windows of one trace can hold tens of millions of elements; gathering
+#: them in slices of this size bounds the transient at a few times
+#: 16 MB without changing the counts.
+_WINDOW_CHUNK_ELEMENTS = 1 << 21
+
+
+def _window_distinct(
+    prev: np.ndarray, queries: np.ndarray, win: np.ndarray
+) -> np.ndarray:
+    """Distinct sectors in each query's reuse window (``queries`` non-empty).
+
+    Query ``q``'s window is stream positions ``prev[q] + 1 .. q - 1``
+    (``win[q]`` of them).  A window's distinct count is the number of its
+    references whose own previous occurrence predates the window
+    (first-in-window).  The windows are laid end to end as one virtual
+    stream, and each slice of :data:`_WINDOW_CHUNK_ELEMENTS` elements is
+    gathered, compared and bincounted on its own; a window that straddles
+    slices simply collects its count from each.
+    """
+    floor = prev[queries]
+    lens = win[queries]
+    ends = np.cumsum(lens)
+    prefix = ends - lens
+    # Virtual position v of window q is stream position v + shift[q].
+    shift = floor + 1 - prefix
+    cnt = np.zeros(lens.size, dtype=np.int64)
+    total = int(ends[-1])
+    for lo in range(0, total, _WINDOW_CHUNK_ELEMENTS):
+        hi = min(lo + _WINDOW_CHUNK_ELEMENTS, total)
+        # Windows overlapping [lo, hi) and the length of each one's part.
+        q0 = int(np.searchsorted(ends, lo, side="right"))
+        q1 = int(np.searchsorted(prefix, hi, side="left"))
+        part = np.minimum(ends[q0:q1], hi) - np.maximum(prefix[q0:q1], lo)
+        reps = np.repeat(np.arange(q1 - q0, dtype=np.int64), part)
+        flat = np.arange(lo, hi, dtype=np.int64) + shift[q0:q1][reps]
+        first_in = prev[flat] <= floor[q0:q1][reps]
+        cnt[q0:q1] += np.bincount(reps[first_in], minlength=q1 - q0)
+    return cnt
 
 
 def _lru_filter_misses(stream: np.ndarray, capacity: int) -> np.ndarray:

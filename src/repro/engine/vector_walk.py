@@ -58,8 +58,6 @@ walk.
 
 from __future__ import annotations
 
-import os
-import time
 from typing import Optional
 
 import numpy as np
@@ -84,17 +82,17 @@ _SCALAR_MAX_ELEMENTS = 64
 #: and speculation repair re-runs mispredicted sets' rounds on top -- while
 #: the dict replay costs ~0.5us per event, so the array path only wins
 #: while the stream is wide relative to its depth; per-stream A/B timing on
-#: the bench workloads puts the crossover near depth = K/80-95 (see
-#: BENCH_perf.json).
+#: the bench workloads puts the crossover near depth = K/80-95.
 _SEGMENT_DEPTH_DIVISOR = 96
 #: Repair rounds before the speculative loop falls back to the exact scalar
 #: replay.  Convergence normally takes 1-3 rounds (see docs 3c); the cap only
 #: bounds adversarial flip chains.
 _REPAIR_ROUND_CAP = 32
 
-#: ``REPRO_SYNC_REPLAY=array|scalar`` pins the replay path (parity testing /
-#: CI gates); unset or empty keeps the size heuristic.
-_FORCED_MODE = os.environ.get("REPRO_SYNC_REPLAY") or None
+#: ``"array"`` or ``"scalar"`` pins the replay path for every stream whose
+#: caller passes no ``mode``; parity tests patch it, None keeps the size
+#: heuristic.
+_FORCED_MODE: Optional[str] = None
 
 
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -126,7 +124,6 @@ def replay_sync_stream(
     stats_acc: np.ndarray,
     dram_requests: np.ndarray,
     transfers: np.ndarray,
-    counters: Optional[dict] = None,
     mode: Optional[str] = None,
     session=None,
     predictor=None,
@@ -161,8 +158,6 @@ def replay_sync_stream(
     if K == 0:
         empty = np.empty(0, dtype=bool)
         return empty, empty.copy(), empty.copy()
-    if counters is not None:
-        counters["sync_elements"] += K
 
     if mode is None:
         mode = _FORCED_MODE
@@ -184,12 +179,10 @@ def replay_sync_stream(
     if mode == "array":
         out = _replay_sync_array(
             l2, sec, is_fill, local, node, home,
-            req_set, home_set, req_ins, home_ins, counters,
+            req_set, home_set, req_ins, home_ins,
             session=session, predictor=predictor, site=site,
         )
     else:
-        if counters is not None:
-            counters["sync_scalar"] += 1
         out = _replay_sync_scalar(
             l2, sec, is_fill, local,
             req_set, home_set, req_ins, home_ins,
@@ -221,7 +214,6 @@ def _replay_sync_array(
     home_set: np.ndarray,
     req_ins: np.ndarray,
     home_ins: np.ndarray,
-    counters: Optional[dict],
     session=None,
     predictor=None,
     site: Optional[np.ndarray] = None,
@@ -274,11 +266,9 @@ def _replay_sync_array(
             guess_hit = predictor.predict_hit(sec[pelem], node[pelem], site[pelem])
         present[spec_idx] = ~guess_hit
         pred0 = present[spec_idx].copy()
-    if counters is not None:
-        counters["sync_events"] += E
-        counters["spec_events"] += int(spec_idx.size)
 
     rounds = 0
+    mispredicts = 0
     converged = False
     active: Optional[np.ndarray] = None  # None: first round, all sets
     while rounds < _REPAIR_ROUND_CAP:
@@ -302,30 +292,25 @@ def _replay_sync_array(
         if flipped.size == 0:
             converged = True
             break
-        if counters is not None:
-            counters["spec_mispredicts"] += int(flipped.size)
+        mispredicts += int(flipped.size)
         present[spec_idx] = new_present
         active = np.unique(gs[flipped])
-    if counters is not None:
-        counters["spec_rounds"] += rounds
-    session.counters.inc("walk.spec.rounds", rounds=rounds)
-    if pred0 is not None and converged:
-        # Converged presence is ground truth: guesses that survived
-        # unchanged were correct.
-        n_correct = int((present[spec_idx] == pred0).sum())
-        if counters is not None:
-            counters["pred_events"] += int(spec_idx.size)
-            counters["pred_correct"] += n_correct
-        if session.counters.enabled:
-            session.counters.inc("spec.predictor.events", int(spec_idx.size))
-            session.counters.inc("spec.predictor.correct", n_correct)
+    reg = session.counters
+    reg.inc("walk.spec.rounds", rounds=rounds)
+    if reg.enabled:
+        reg.inc("walk.spec.events", int(spec_idx.size))
+        reg.inc("walk.spec.mispredicts", mispredicts)
+        if pred0 is not None and converged:
+            # Converged presence is ground truth: guesses that survived
+            # unchanged were correct.
+            reg.inc("spec.predictor.events", int(spec_idx.size))
+            correct = int((present[spec_idx] == pred0).sum())
+            reg.inc("spec.predictor.correct", correct)
 
     if not converged:
         # Adversarial flip chain: restore everything and run the exact
         # scalar replay from the snapshot.  Always terminates, still
         # bit-exact.
-        if counters is not None:
-            counters["sync_fallbacks"] += 1
         l2.restore_rows(touched, saved)
         return _replay_sync_scalar(
             l2, sec, is_fill, local, req_set, home_set, req_ins, home_ins
@@ -520,8 +505,6 @@ def walk_launch(
     order: np.ndarray,
     page_counts: Optional[np.ndarray] = None,
     homes: Optional[np.ndarray] = None,
-    timers: Optional[dict] = None,
-    counters: Optional[dict] = None,
     session=None,
 ) -> tuple:
     """Walk one launch's cached trace; returns raw accumulators.
@@ -532,9 +515,9 @@ def walk_launch(
 
     ``homes`` optionally passes the precomputed per-sector home nodes (the
     walk-memo key derivation already gathered them); only valid when the
-    page table is fully mapped.  ``timers`` receives ``walk_free`` /
-    ``walk_sync`` wall-clock splits, ``counters`` the speculation telemetry
-    (see :class:`~repro.engine.simulator.Simulator.walk_counters`).
+    page table is fully mapped.  Stage times and work counts are the
+    ``free_probe`` / ``sync_replay`` spans and ``walk.*`` counters of
+    ``session``.
     """
     num_nodes = config.num_nodes
     num_sets = config.l2.num_sets
@@ -544,9 +527,6 @@ def walk_launch(
     page_table = plan.page_table
     ntb = trace.num_threadblocks
     trip = trace.trip
-    perf_counter = time.perf_counter
-    t_free = 0.0
-    t_sync = 0.0
     if session is None:
         session = obs.current()
     tr = session.tracer
@@ -650,20 +630,14 @@ def walk_launch(
             blocks = rotated * trip + m
             chunks.append(_concat_ranges(soff[blocks], slengths[blocks]))
         w = np.concatenate(chunks)
-        t0 = perf_counter()
         with tr.span("free_probe", cat="walk", accesses=int(w.size)):
             hitw = l2.probe_batch(ssec[w], greq[w], req_ins[w])
-        t_free += perf_counter() - t0
         code = s_node[w] * 2 + hitw
         c = np.bincount(code, minlength=num_nodes * 2).reshape(num_nodes, 2)
         stats_acc[:, _LL, 0] += c[:, 0]
         stats_acc[:, _LL, 1] += c[:, 1]
         dram_requests += c[:, 0]
         metrics.faults = page_table.fault_count - faults_before
-        if counters is not None:
-            counters["free_accesses"] += int(w.size)
-        if timers is not None:
-            timers["walk_free"] += t_free
         return metrics, xbar_requests, dram_requests, transfers, stats_acc
 
     # ------------------------------------------------------------------
@@ -720,10 +694,8 @@ def walk_launch(
         ev_fill = None  # per-element home-fill-only flag (None: all requester)
         fidx = idx if freem is None else idx[freem]
         if fidx.size:
-            t0 = perf_counter()
             with tr.span("free_probe", cat="walk", iteration=m, accesses=int(fidx.size)):
                 fhit = probe(ssec[fidx], greq[fidx], req_ins[fidx])
-            t_free += perf_counter() - t0
             floc = slocal[fidx]
             code = s_node[fidx] * 4 + floc * 2 + fhit
             c = np.bincount(code, minlength=num_nodes * 4).reshape(num_nodes, 4)
@@ -732,8 +704,6 @@ def walk_launch(
             stats_acc[:, _LR, 0] += c[:, 0]
             stats_acc[:, _LR, 1] += c[:, 1]
             dram_requests += c[:, 2]
-            if counters is not None:
-                counters["free_accesses"] += int(fidx.size)
             if predictor is not None:
                 frem = ~floc
                 if frem.any():
@@ -772,7 +742,6 @@ def walk_launch(
         if ev_fill is None:
             ev_fill = np.zeros(ev_idx.size, dtype=bool)
 
-        t0 = perf_counter()
         ev_home = shome[ev_idx]
         ev_ins = sins[ev_idx]
         with tr.span("sync_replay", cat="walk", iteration=m, elements=int(ev_idx.size)):
@@ -791,30 +760,21 @@ def walk_launch(
                 stats_acc,
                 dram_requests,
                 transfers,
-                counters=counters,
                 session=session,
                 predictor=predictor,
                 site=ssite[ev_idx] if predictor is not None else None,
             )
-        t_sync += perf_counter() - t0
         # Home-side bypasses: realised home events that missed and, per the
         # allocation's RONCE policy, did not insert at the home L2.
         bypass = home_present & ~home_hit & ~ev_ins
         n_bypass = int(bypass.sum())
-        if n_bypass:
-            if counters is not None:
-                counters["l2_bypass"] += n_bypass
-            if reg.enabled:
-                per_node = np.bincount(ev_home[bypass], minlength=num_nodes)
-                for nd in np.nonzero(per_node)[0]:
-                    reg.inc(
-                        "l2.bypass", int(per_node[nd]),
-                        node=int(nd), strategy=strategy,
-                    )
-
-    if timers is not None:
-        timers["walk_free"] += t_free
-        timers["walk_sync"] += t_sync
+        if n_bypass and reg.enabled:
+            per_node = np.bincount(ev_home[bypass], minlength=num_nodes)
+            for nd in np.nonzero(per_node)[0]:
+                reg.inc(
+                    "l2.bypass", int(per_node[nd]),
+                    node=int(nd), strategy=strategy,
+                )
 
     if predictor is not None:
         predictor.finish()

@@ -1,7 +1,7 @@
 """Serving-stack SLO benchmark (``repro servebench``): BENCH_serve.json.
 
-Where ``repro bench`` (:mod:`repro.experiments.benchperf`) measures the
-engines, this benchmark measures the **service wrapped around them**: the
+Where ``perfbench/`` measures the Fig-9 sweep and the engine layer by
+layer, this benchmark measures the **service wrapped around it**: the
 ``repro serve`` tiered cache answering a duplicate-heavy what-if query
 stream over the Fig-9 workload mix.  Two phases, same seeded stream
 (:func:`repro.fuzz.loadgen.generate_stream`):
@@ -196,7 +196,7 @@ def check_gate(report: Dict, gate_path: str) -> List[str]:
         report,
         gate,
         obs_regress.SERVE_SPECS,
-        same_scale=obs_regress.reports_same_scale(report, gate, "serve"),
+        same_scale=obs_regress.reports_same_scale(report, gate),
     )
     failures.extend(obs_regress.gate_failures(findings))
     return failures

@@ -271,7 +271,7 @@ def _run(
     walk_memo: WalkMemo,
     obs_session: Optional[ObsSession] = None,
 ):
-    """One full engine run with a fresh plan; returns (result, simulator)."""
+    """One full engine run with a fresh plan."""
     strategy = strategy_by_name(strategy_name)
     sim = Simulator(
         config,
@@ -281,7 +281,7 @@ def _run(
         obs_session=obs_session,
     )
     plan = strategy.plan(compiled, sim.topology)
-    return sim.run(compiled, plan), sim
+    return sim.run(compiled, plan)
 
 
 def _check_strategy(
@@ -296,11 +296,11 @@ def _check_strategy(
     sector = config.l2.sector_bytes
     no_memo = WalkMemo(max_entries=0)  # vector path without memoisation
 
-    legacy, _ = _run(
+    legacy = _run(
         program, compiled, strategy_name, config, "legacy", trace_cache, no_memo
     )
     session = ObsSession(enabled=True)
-    vector, _ = _run(
+    vector = _run(
         program, compiled, strategy_name, config, "vector", trace_cache, no_memo,
         obs_session=session,
     )
@@ -312,8 +312,8 @@ def _check_strategy(
             sliced = program.slice([launch])
             c2 = compile_program(sliced)
             tc = TraceCache()
-            l2, _ = _run(sliced, c2, strategy_name, config, "legacy", tc, WalkMemo(0))
-            v2, _ = _run(sliced, c2, strategy_name, config, "vector", tc, WalkMemo(0))
+            l2 = _run(sliced, c2, strategy_name, config, "legacy", tc, WalkMemo(0))
+            v2 = _run(sliced, c2, strategy_name, config, "vector", tc, WalkMemo(0))
             isolated = l2.snapshot() != v2.snapshot()
         failures.append(
             DiffFailure(
@@ -326,7 +326,7 @@ def _check_strategy(
         )
         return 2  # memo runs against a broken vector walk add no signal
 
-    compiled_run, _ = _run(
+    compiled_run = _run(
         program, compiled, strategy_name, config, "compiled", trace_cache, no_memo
     )
     snap_compiled = compiled_run.snapshot()
@@ -344,10 +344,11 @@ def _check_strategy(
     # Memoised path: two runs against one shared memo.  The first populates
     # (or proves ineligibility), the second must replay hits bit-exactly.
     memo = WalkMemo()
-    memo_a, _ = _run(
+    memo_a = _run(
         program, compiled, strategy_name, config, "vector", trace_cache, memo
     )
-    memo_b, sim_b = _run(
+    hits_a = memo.hits
+    memo_b = _run(
         program, compiled, strategy_name, config, "vector", trace_cache, memo
     )
     for label, run in (("first", memo_a), ("second", memo_b)):
@@ -362,7 +363,7 @@ def _check_strategy(
                     message=f"memoised walk ({label} run) diverges: {detail}",
                 )
             )
-    if memo.misses and not sim_b.walk_counters["memo_hits"] and not failures:
+    if memo.misses and memo.hits == hits_a and not failures:
         # Eligible launches were memoised on run A but run B never hit:
         # the memo key is unstable, which silently disables the fast path.
         failures.append(

@@ -1,9 +1,8 @@
 """Baseline-diff regression watchdog (``repro regress``).
 
-Both bench jobs commit their reports (``BENCH_perf.json`` from ``repro
-bench``, ``BENCH_serve.json`` from ``repro servebench``).  This module is
-the one place that knows how to *diff* a fresh report against a committed
-baseline: a :class:`RegressSpec` names a dotted metric path, whether
+``repro servebench`` commits its report (``BENCH_serve.json``).  This
+module is the one place that knows how to *diff* a fresh report against a
+committed baseline: a :class:`RegressSpec` names a dotted metric path, whether
 higher or lower is better, the relative tolerance a same-scale run must
 stay within, and an optional absolute sanity floor for cross-scale runs
 (wall-clock ratios do not transfer between smoke and bench scale, but a
@@ -14,8 +13,8 @@ metric falling below its floor means the mechanism rotted wholesale).
 counters into the process-wide observability session so CI artifacts
 record what was checked.  ``repro regress --current FILE --baseline FILE
 --gate`` exits 1 on any regression; :mod:`repro.experiments.servebench`
-and :mod:`repro.experiments.benchperf` route their ``--gate`` scalar
-checks through the same specs instead of hand-rolled 20% arithmetic.
+routes its ``--gate`` scalar checks through the same specs instead of
+hand-rolled 20% arithmetic.
 """
 
 from __future__ import annotations
@@ -31,13 +30,10 @@ from repro.obs.slo import stats_path
 
 __all__ = [
     "RegressSpec",
-    "PERF_SPECS",
     "SERVE_SPECS",
     "compare_reports",
     "gate_failures",
-    "detect_kind",
     "reports_same_scale",
-    "specs_for_kind",
     "main",
 ]
 
@@ -64,20 +60,6 @@ class RegressSpec:
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol {self.rel_tol!r} not in (0, 1)")
 
-
-#: ``repro bench`` scalars (BENCH_perf.json).  Per-workload walk speedups
-#: and repair rates stay in :func:`repro.experiments.benchperf.check_gate`
-#: (they are keyed by workload name, not a fixed path); the end-to-end
-#: scalars are gated here.
-PERF_SPECS = (
-    # Total wall-clock includes planning/trace overhead that shifts with
-    # scale, so no cross-scale floor; the walk stage shares the 0.5x
-    # per-workload floor benchperf applies cross-scale.
-    RegressSpec("overall_speedup", "overall_speedup", "higher", 0.2),
-    RegressSpec(
-        "overall_walk_speedup", "overall_walk_speedup", "higher", 0.2, floor=0.5
-    ),
-)
 
 #: ``repro servebench`` scalars (BENCH_serve.json).  The warm-speedup
 #: cross-scale floor mirrors the old ``CROSS_SCALE_SPEEDUP_FLOOR``: a warm
@@ -170,26 +152,11 @@ def gate_failures(findings: Sequence[Dict]) -> List[str]:
     return out
 
 
-def detect_kind(report: Dict) -> str:
-    """``serve`` or ``perf`` from a report's shape (schema, then keys)."""
-    if str(report.get("schema", "")).startswith("repro-servebench"):
-        return "serve"
-    if "warm_speedup" in report:
-        return "serve"
-    return "perf"
-
-
-def reports_same_scale(current: Dict, baseline: Dict, kind: str) -> bool:
-    """Whether two reports ran at comparable scale for ``kind``."""
+def reports_same_scale(current: Dict, baseline: Dict) -> bool:
+    """Whether two servebench reports ran at comparable scale."""
     cm = current.get("meta", {}) or {}
     bm = baseline.get("meta", {}) or {}
-    if kind == "serve":
-        return cm.get("smoke") == bm.get("smoke")
-    return cm.get("scale") == bm.get("scale")
-
-
-def specs_for_kind(kind: str) -> Sequence[RegressSpec]:
-    return SERVE_SPECS if kind == "serve" else PERF_SPECS
+    return cm.get("smoke") == bm.get("smoke")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -204,13 +171,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--baseline",
         required=True,
         metavar="FILE",
-        help="committed BENCH_perf.json / BENCH_serve.json",
-    )
-    parser.add_argument(
-        "--kind",
-        choices=["auto", "serve", "perf"],
-        default="auto",
-        help="report flavour (auto-detected from the schema by default)",
+        help="committed BENCH_serve.json",
     )
     parser.add_argument(
         "--gate",
@@ -226,14 +187,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         current = json.load(fh)
     with open(args.baseline) as fh:
         baseline = json.load(fh)
-    kind = detect_kind(current) if args.kind == "auto" else args.kind
-    same = reports_same_scale(current, baseline, kind)
-    findings = compare_reports(
-        current, baseline, specs_for_kind(kind), same_scale=same
-    )
+    same = reports_same_scale(current, baseline)
+    findings = compare_reports(current, baseline, SERVE_SPECS, same_scale=same)
 
     scale_note = "same-scale" if same else "cross-scale"
-    print(f"regress: kind={kind} ({scale_note} vs {args.baseline})")
+    print(f"regress: {scale_note} vs {args.baseline}")
     for f in findings:
         cur = "n/a" if f["current"] is None else f"{f['current']:.3f}"
         ref = "n/a" if f["baseline"] is None else f"{f['baseline']:.3f}"
@@ -245,7 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(
-                {"kind": kind, "same_scale": same, "findings": findings},
+                {"same_scale": same, "findings": findings},
                 fh,
                 indent=2,
             )

@@ -86,10 +86,13 @@ def _worker_run_batch(
     """Execute one compatible batch: (digest, query_doc, trace?) -> docs.
 
     All items share a batch digest, so the program is built and compiled
-    once; strategies replay the shared trace and consult the process-wide
-    walk memo (workers are long-lived, so the memo also warms across
-    batches).  Per-item failures are returned as error strings -- one bad
-    query must not poison its batchmates.
+    once and strategies share one trace cache and one walk memo, both
+    private to the batch.  Every entry of those caches and of the
+    predictor store (cleared here) keys on this batch's own program or
+    trace objects, so nothing could hit across batches; dropping them with
+    the batch keeps a long-lived worker's memory at one batch's working
+    set.  Per-item failures are returned as error strings -- one bad query
+    must not poison its batchmates.
 
     ``trace`` (per item) is ``{"trace_id", "parent_path"}`` for sampled
     queries: the worker installs an enabled obs session (timestamped
@@ -99,8 +102,15 @@ def _worker_run_batch(
     ``spans`` field of the return doc.
     """
     from repro.compiler.passes import compile_program
+    from repro.engine.spec_predictor import default_spec_store
+    from repro.engine.trace_cache import TraceCache
+    from repro.engine.walk_memo import WalkMemo, memo_enabled
     from repro.serve.query import build_query_program
 
+    default_spec_store().clear()
+    trace_cache = TraceCache()
+    # None defers to the process-wide memo, which REPRO_WALK_MEMO=0 disables.
+    walk_memo = WalkMemo() if memo_enabled() else None
     traced = any(trace for _, _, trace in items)
     previous = obs.current()
     session = None
@@ -123,9 +133,11 @@ def _worker_run_batch(
                             digest=digest,
                             strategy=query.strategy,
                         ):
-                            run = execute_query(query, compiled=compiled)
+                            run = execute_query(
+                                query, compiled, trace_cache, walk_memo
+                            )
                 else:
-                    run = execute_query(query, compiled=compiled)
+                    run = execute_query(query, compiled, trace_cache, walk_memo)
                 out.append((digest, run_to_doc(run), None))
             except Exception as exc:  # noqa: BLE001 - reported to the client
                 out.append((digest, {}, f"{type(exc).__name__}: {exc}"))

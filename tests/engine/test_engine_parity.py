@@ -14,6 +14,7 @@ sweep stays fast enough for tier-1.
 
 import pytest
 
+from repro.engine import vector_walk
 from repro.engine.simulator import simulate
 from repro.engine.trace_cache import TraceCache
 from repro.experiments.runner import strategy_by_name
@@ -48,6 +49,21 @@ def _config(kind: str):
 
 @pytest.mark.parametrize("wname", WORKLOAD_NAMES)
 def test_engines_bit_exact(wname):
+    _assert_engines_agree(wname)
+
+
+@pytest.mark.parametrize("wname", ["conv", "tra", "btree"])
+def test_engines_bit_exact_forced_array_replay(wname, monkeypatch):
+    """Every sync stream through the speculative array replay.  At this
+    scale the size heuristic already picks the array path on conv and tra;
+    btree is the workload whose pairs it sends partly down the scalar
+    path, so forcing the array path there covers streams it never takes
+    on its own."""
+    monkeypatch.setattr(vector_walk, "_FORCED_MODE", "array")
+    _assert_engines_agree(wname)
+
+
+def _assert_engines_agree(wname):
     index = WORKLOAD_NAMES.index(wname)
     workload = get_workload(wname)
     for sname, kind in _pairs_for(index):

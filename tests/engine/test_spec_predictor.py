@@ -35,6 +35,7 @@ from repro.engine.walk_memo import WalkMemo
 from repro.experiments.runner import strategy_by_name
 from repro.fuzz.diff import strategies_for
 from repro.fuzz.genprog import generate_spec, build_program
+from repro.obs import ObsSession
 from repro.topology.config import bench_hierarchical, bench_monolithic
 from repro.workloads.base import TEST
 from repro.workloads.suite import get_workload
@@ -296,8 +297,8 @@ def _snapshots(result):
     return [k.snapshot() for k in result.kernels]
 
 
-def _run(compiled, strategy_name, cfg, engine):
-    sim = Simulator(cfg, engine=engine, walk_memo=WalkMemo(0))
+def _run(compiled, strategy_name, cfg, engine, obs_session=None):
+    sim = Simulator(cfg, engine=engine, walk_memo=WalkMemo(0), obs_session=obs_session)
     plan = strategy_by_name(strategy_name).plan(compiled, sim.topology)
     return sim, _snapshots(sim.run(compiled, plan))
 
@@ -346,18 +347,22 @@ class TestFaultInjectionSelfTest:
         monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
         default_spec_store().clear()
         _, legacy = _run(compiled, "LADM", cfg, "legacy")
-        sim_good, good = _run(compiled, "LADM", cfg, "vector")
+        session_good = ObsSession(enabled=True)
+        _, good = _run(compiled, "LADM", cfg, "vector", session_good)
 
         monkeypatch.setenv("REPRO_FAULT_INJECT", "spec-predictor-bias")
         default_spec_store().clear()
-        sim_bias, biased = _run(compiled, "LADM", cfg, "vector")
+        session_bias = ObsSession(enabled=True)
+        _, biased = _run(compiled, "LADM", cfg, "vector", session_bias)
 
         assert biased == good == legacy  # repair wins regardless
-        cg, cb = sim_good.walk_counters, sim_bias.walk_counters
-        assert cb["spec_events"] == cg["spec_events"] > 0
-        assert cb["spec_mispredicts"] > cg["spec_mispredicts"]
+        cg, cb = session_good.counters, session_bias.counters
+        assert cb.total("walk.spec.events") == cg.total("walk.spec.events") > 0
+        assert cb.total("walk.spec.mispredicts") > cg.total("walk.spec.mispredicts")
         # inverted guesses: accuracy complements the unbiased run exactly
-        assert cb["pred_correct"] == cg["pred_events"] - cg["pred_correct"]
+        assert cb.total("spec.predictor.correct") == (
+            cg.total("spec.predictor.events") - cg.total("spec.predictor.correct")
+        )
 
     def test_bias_with_monolithic_config(self, monkeypatch):
         """The bias overrides the no-remote-caching shortcut, exercising

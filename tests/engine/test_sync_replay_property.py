@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 import repro.engine.vector_walk as vw
 from repro.cache import ArrayLRU, SectoredCache
 from repro.engine.vector_walk import replay_sync_stream
+from repro.obs import ObsSession
+from repro.obs.counters import parse_key
 
 _LL, _LR, _RL = 0, 1, 2
 
@@ -155,7 +157,7 @@ def _oracle(num_nodes, num_sets, assoc, warm, elements):
     return caches, (req_hit, home_present, home_hit), stats, dram, transfers
 
 
-def _run_replay(mode, num_nodes, num_sets, assoc, warm, elements, counters=None):
+def _run_replay(mode, num_nodes, num_sets, assoc, warm, elements, session=None):
     l2 = _warmed_lru(num_nodes, num_sets, assoc, warm)
     cols = _columns(elements, num_sets)
     sec, node, home, is_fill, local, req_ins, home_ins, req_set, home_set = cols
@@ -165,7 +167,7 @@ def _run_replay(mode, num_nodes, num_sets, assoc, warm, elements, counters=None)
     masks = replay_sync_stream(
         l2, num_nodes, sec, is_fill, local, node, home,
         req_set, home_set, req_ins, home_ins,
-        stats, dram, transfers, counters=counters, mode=mode,
+        stats, dram, transfers, mode=mode, session=session,
     )
     return l2, masks, stats, dram, transfers
 
@@ -241,19 +243,17 @@ class TestRepairLoop:
 
     def test_repair_fires_and_stays_exact(self):
         num_nodes, num_sets, assoc, elements = self._misprediction_case()
-        counters = {
-            k: 0
-            for k in (
-                "sync_elements", "sync_events", "spec_events", "spec_rounds",
-                "spec_mispredicts", "sync_scalar", "sync_fallbacks",
-            )
-        }
-        arr = _run_replay("array", num_nodes, num_sets, assoc, [], elements, counters)
+        session = ObsSession(enabled=True)
+        arr = _run_replay("array", num_nodes, num_sets, assoc, [], elements, session)
         sca = _run_replay("scalar", num_nodes, num_sets, assoc, [], elements)
         _assert_equal(arr, sca, num_nodes, num_sets, "repaired array vs scalar")
-        assert counters["spec_mispredicts"] > 0, "case failed to mispredict"
-        assert counters["spec_rounds"] >= 2
-        assert counters["sync_fallbacks"] == 0
+        reg = session.counters
+        assert reg.total("walk.spec.mispredicts") > 0, "case failed to mispredict"
+        # Converged within the cap: the last round flipped nothing.
+        rounds = [
+            int(parse_key(key)[1]["rounds"]) for key in reg.select("walk.spec.rounds")
+        ]
+        assert len(rounds) == 1 and 2 <= rounds[0] < vw._REPAIR_ROUND_CAP
         # The phantom fill must not have leaked: element 1 hit at the
         # requester, so only element 0's (real) fill reached the home set --
         # which is what element 2 then finds resident.
@@ -265,16 +265,14 @@ class TestRepairLoop:
         """With the repair budget exhausted the exact fallback engages."""
         num_nodes, num_sets, assoc, elements = self._misprediction_case()
         monkeypatch.setattr(vw, "_REPAIR_ROUND_CAP", 1)
-        counters = {
-            k: 0
-            for k in (
-                "sync_elements", "sync_events", "spec_events", "spec_rounds",
-                "spec_mispredicts", "sync_scalar", "sync_fallbacks",
-            )
-        }
-        arr = _run_replay("array", num_nodes, num_sets, assoc, [], elements, counters)
+        session = ObsSession(enabled=True)
+        arr = _run_replay("array", num_nodes, num_sets, assoc, [], elements, session)
         sca = _run_replay("scalar", num_nodes, num_sets, assoc, [], elements)
-        assert counters["sync_fallbacks"] == 1
+        # The one permitted round flipped guesses, so the loop ran out
+        # unconverged: the exact scalar fallback produced these masks.
+        reg = session.counters
+        assert reg.select("walk.spec.rounds") == {"walk.spec.rounds{rounds=1}": 1}
+        assert reg.total("walk.spec.mispredicts") > 0
         _assert_equal(arr, sca, num_nodes, num_sets, "fallback vs scalar")
 
     @given(raw=ELEMENTS, warm=WARMUPS)

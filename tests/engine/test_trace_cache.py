@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import trace_cache as trace_cache_mod
 from repro.engine.simulator import Simulator, simulate
 from repro.engine.trace_cache import LaunchTrace, TraceCache, _lru_filter_misses
 from repro.experiments.runner import strategy_by_name
@@ -164,13 +165,24 @@ class TestSurvivorFilter:
             max_size=4,
         ),
         capacity=st.integers(min_value=1, max_value=8),
+        chunk=st.integers(min_value=1, max_value=7),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_sequential_oracle(self, streams, capacity):
+    def test_matches_sequential_oracle(self, streams, capacity, chunk):
         trace = _synthetic_trace(streams)
         vec = trace._compute_survivors(capacity)
         seq = trace._compute_survivors_sequential(capacity)
         assert np.array_equal(vec, seq)
+        # A gather budget of a few elements splits the reuse windows over
+        # many slices, most windows straddling two or more; the mask must
+        # not change.
+        saved = trace_cache_mod._WINDOW_CHUNK_ELEMENTS
+        trace_cache_mod._WINDOW_CHUNK_ELEMENTS = chunk
+        try:
+            chunked = trace._compute_survivors(capacity)
+        finally:
+            trace_cache_mod._WINDOW_CHUNK_ELEMENTS = saved
+        assert np.array_equal(chunked, seq)
 
     @given(
         streams=st.lists(

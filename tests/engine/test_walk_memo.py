@@ -2,10 +2,12 @@
 
 import numpy as np
 
+from repro import obs
 from repro.compiler.passes import compile_program
 from repro.engine.simulator import Simulator
 from repro.engine.walk_memo import WalkMemo, default_walk_memo, memo_enabled
 from repro.experiments.runner import strategy_by_name
+from repro.obs.counters import CounterRegistry
 from repro.topology.config import bench_hierarchical, bench_monolithic
 from repro.workloads.base import TEST
 from repro.workloads.suite import get_workload
@@ -16,10 +18,27 @@ def _compiled(name="vecadd"):
 
 
 def _run(compiled, strategy_name, config, memo, profile_pages=False):
-    sim = Simulator(config, engine="vector", walk_memo=memo)
+    """One run; returns its per-launch memo outcomes and the result.
+
+    Outcomes are read off the run's spans: a launch without a ``walk`` span
+    was a memo hit, one without a ``memo.probe`` span was ineligible.  The
+    counter registry stays off, since turning it on changes eligibility.
+    """
+    session = obs.ObsSession(enabled=True)
+    session.counters = CounterRegistry(enabled=False)
+    sim = Simulator(config, engine="vector", walk_memo=memo, obs_session=session)
     plan = strategy_by_name(strategy_name).plan(compiled, sim.topology)
     result = sim.run(compiled, plan, profile_pages=profile_pages)
-    return sim, result
+    names = [ev["name"] for ev in session.tracer.events()]
+    launches, walks, probes = (names.count(n) for n in ("launch", "walk", "memo.probe"))
+    hits = launches - walks
+    outcomes = {
+        "walks": walks,
+        "hits": hits,
+        "misses": probes - hits,
+        "ineligible": launches - probes,
+    }
+    return outcomes, result
 
 
 def _snapshots(result):
@@ -31,25 +50,24 @@ class TestMemoHits:
         compiled = _compiled("lstm1")
         cfg = bench_hierarchical()
         memo = WalkMemo()
-        sim1, r1 = _run(compiled, "LADM", cfg, memo)
-        assert sim1.walk_counters["memo_hits"] == 0
-        assert sim1.walk_counters["memo_misses"] == len(r1.kernels)
-        sim2, r2 = _run(compiled, "LADM", cfg, memo)
-        assert sim2.walk_counters["memo_hits"] == len(r2.kernels)
-        assert sim2.walk_counters["memo_misses"] == 0
+        run1, r1 = _run(compiled, "LADM", cfg, memo)
+        assert run1["hits"] == 0
+        assert run1["misses"] == len(r1.kernels)
+        run2, r2 = _run(compiled, "LADM", cfg, memo)
+        assert run2["hits"] == len(r2.kernels)
+        assert run2["misses"] == 0
         assert _snapshots(r1) == _snapshots(r2)
-        # A hit skips the walk: no probes, no sync telemetry.
-        assert sim2.walk_counters["free_accesses"] == 0
-        assert sim2.walk_counters["sync_elements"] == 0
-        assert all(e["memo"] == "hit" for e in sim2.walk_log)
+        # A hit skips the walk entirely.
+        assert run2["walks"] == 0
+        assert memo.stats()["hits"] == len(r2.kernels)
 
     def test_hits_cross_simulators_via_shared_memo(self):
         compiled = _compiled()
         cfg = bench_hierarchical()
         memo = WalkMemo()
         _run(compiled, "H-CODA", cfg, memo)
-        sim2, _ = _run(compiled, "H-CODA", cfg, memo)
-        assert sim2.walk_counters["memo_hits"] > 0
+        run2, _ = _run(compiled, "H-CODA", cfg, memo)
+        assert run2["hits"] > 0
 
     def test_memoised_run_matches_memoless_run(self):
         compiled = _compiled("lstm1")
@@ -67,10 +85,10 @@ class TestSoundnessGuards:
         compiled = _compiled()
         cfg = bench_hierarchical()
         memo = WalkMemo()
-        sim1, r1 = _run(compiled, "Batch+FT", cfg, memo)
-        sim2, r2 = _run(compiled, "Batch+FT", cfg, memo)
-        assert sim1.walk_counters["memo_ineligible"] == len(r1.kernels)
-        assert sim2.walk_counters["memo_hits"] == 0
+        run1, r1 = _run(compiled, "Batch+FT", cfg, memo)
+        run2, r2 = _run(compiled, "Batch+FT", cfg, memo)
+        assert run1["ineligible"] == len(r1.kernels)
+        assert run2["hits"] == 0
         assert len(memo) == 0
         assert _snapshots(r1) == _snapshots(r2)
 
@@ -82,30 +100,26 @@ class TestSoundnessGuards:
         cfg = bench_monolithic()
         assert not cfg.flush_l2_between_kernels
         memo = WalkMemo()
-        sim1, r1 = _run(compiled, "Monolithic", cfg, memo)
-        assert sim1.walk_counters["memo_misses"] == 1
-        sim2, r2 = _run(compiled, "Monolithic", cfg, memo)
-        assert sim2.walk_counters["memo_hits"] == 1
+        run1, r1 = _run(compiled, "Monolithic", cfg, memo)
+        assert run1["misses"] == 1
+        run2, r2 = _run(compiled, "Monolithic", cfg, memo)
+        assert run2["hits"] == 1
         assert _snapshots(r1) == _snapshots(r2)
 
     def test_no_flush_counters_enabled_never_memoised(self):
         """End-of-run occupancy gauges read raw L2 state, so a no-flush
         launch whose outgoing state would feed them must not be skipped."""
-        from repro import obs
-
         compiled = _compiled()
         cfg = bench_monolithic()
         memo = WalkMemo()
         for _ in range(2):
-            sim = Simulator(
-                cfg,
-                engine="vector",
-                walk_memo=memo,
-                obs_session=obs.ObsSession(enabled=True),
-            )
+            session = obs.ObsSession(enabled=True)
+            sim = Simulator(cfg, engine="vector", walk_memo=memo, obs_session=session)
             plan = strategy_by_name("Monolithic").plan(compiled, sim.topology)
             r = sim.run(compiled, plan)
-        assert sim.walk_counters["memo_ineligible"] == len(r.kernels)
+        assert session.counters.select("walk.memo") == {
+            "walk.memo{outcome=ineligible}": len(r.kernels)
+        }
         assert len(memo) == 0
 
     def test_page_profiling_never_memoised(self):
@@ -113,9 +127,9 @@ class TestSoundnessGuards:
         cfg = bench_hierarchical()
         memo = WalkMemo()
         _run(compiled, "LADM", cfg, memo)  # populate
-        sim, r = _run(compiled, "LADM", cfg, memo, profile_pages=True)
-        assert sim.walk_counters["memo_hits"] == 0
-        assert sim.walk_counters["memo_ineligible"] == len(r.kernels)
+        run, r = _run(compiled, "LADM", cfg, memo, profile_pages=True)
+        assert run["hits"] == 0
+        assert run["ineligible"] == len(r.kernels)
         assert r.page_access_counts is not None
         assert int(np.asarray(r.page_access_counts).sum()) > 0
 
@@ -124,10 +138,10 @@ class TestSoundnessGuards:
         assert not memo_enabled()
         compiled = _compiled()
         cfg = bench_hierarchical()
-        sim1, _ = _run(compiled, "LADM", cfg, None)
-        sim2, r2 = _run(compiled, "LADM", cfg, None)
-        assert sim2.walk_counters["memo_hits"] == 0
-        assert sim2.walk_counters["memo_ineligible"] == len(r2.kernels)
+        _run(compiled, "LADM", cfg, None)
+        run2, r2 = _run(compiled, "LADM", cfg, None)
+        assert run2["hits"] == 0
+        assert run2["ineligible"] == len(r2.kernels)
 
 
 class TestKeySensitivity:
@@ -137,8 +151,8 @@ class TestKeySensitivity:
         cfg = bench_hierarchical()
         memo = WalkMemo()
         _, r_rtwice = _run(compiled, "LASP+RTWICE", cfg, memo)
-        sim2, r_ronce = _run(compiled, "LASP+RONCE", cfg, memo)
-        assert sim2.walk_counters["memo_hits"] == 0
+        run2, r_ronce = _run(compiled, "LASP+RONCE", cfg, memo)
+        assert run2["hits"] == 0
         # and the policies genuinely produce different traffic
         _, r_ronce_fresh = _run(compiled, "LASP+RONCE", cfg, WalkMemo())
         assert _snapshots(r_ronce) == _snapshots(r_ronce_fresh)
@@ -148,8 +162,8 @@ class TestKeySensitivity:
         cfg = bench_hierarchical()
         memo = WalkMemo()
         _run(compiled, "H-CODA", cfg, memo)
-        sim2, _ = _run(compiled, "Kernel-wide", cfg, memo)
-        assert sim2.walk_counters["memo_hits"] == 0
+        run2, _ = _run(compiled, "Kernel-wide", cfg, memo)
+        assert run2["hits"] == 0
 
     def test_lru_eviction_bounds_entries(self):
         memo = WalkMemo(max_entries=1)
@@ -217,13 +231,13 @@ class TestFlushSoundness:
             bench_hierarchical(), flush_l2_between_kernels=False
         )
         memo = WalkMemo()
-        sim_a, r_a = _run(compiled, "LADM", cfg, memo)
-        sim_b, r_b = _run(compiled, "LADM", cfg, memo)
+        run_a, r_a = _run(compiled, "LADM", cfg, memo)
+        run_b, r_b = _run(compiled, "LADM", cfg, memo)
         launches = len(r_a.kernels)
         # every launch is refused on both runs; nothing is ever stored
-        assert sim_a.walk_counters["memo_ineligible"] == launches
-        assert sim_b.walk_counters["memo_ineligible"] == launches
-        assert sim_b.walk_counters["memo_hits"] == 0
+        assert run_a["ineligible"] == launches
+        assert run_b["ineligible"] == launches
+        assert run_b["hits"] == 0
         assert len(memo) == 0
         # and the un-memoised walks remain bit-exact against legacy
         legacy = self._legacy(compiled, "LADM", cfg)
@@ -235,7 +249,7 @@ class TestFlushSoundness:
         assert cfg.flush_l2_between_kernels
         memo = WalkMemo()
         _run(compiled, "LADM", cfg, memo)
-        sim_b, r_b = _run(compiled, "LADM", cfg, memo)
-        assert sim_b.walk_counters["memo_hits"] == len(r_b.kernels)
+        run_b, r_b = _run(compiled, "LADM", cfg, memo)
+        assert run_b["hits"] == len(r_b.kernels)
         legacy = self._legacy(compiled, "LADM", cfg)
         assert _snapshots(r_b) == _snapshots(legacy)

@@ -5,11 +5,9 @@ import json
 import pytest
 
 from repro.obs.regress import (
-    PERF_SPECS,
     SERVE_SPECS,
     RegressSpec,
     compare_reports,
-    detect_kind,
     gate_failures,
     main,
     reports_same_scale,
@@ -88,20 +86,12 @@ class TestCompare:
 
 
 class TestKinds:
-    def test_detect_kind(self):
-        assert detect_kind({"schema": "repro-servebench-v1"}) == "serve"
-        assert detect_kind({"warm_speedup": 2.0}) == "serve"
-        assert detect_kind({"overall_speedup": 2.0}) == "perf"
-
     def test_same_scale(self):
         a = {"meta": {"smoke": True}}
         b = {"meta": {"smoke": False}}
-        assert reports_same_scale(a, a, "serve")
-        assert not reports_same_scale(a, b, "serve")
-        p = {"meta": {"scale": "bench"}}
-        q = {"meta": {"scale": "test"}}
-        assert reports_same_scale(p, p, "perf")
-        assert not reports_same_scale(p, q, "perf")
+        assert reports_same_scale(a, a)
+        assert not reports_same_scale(a, b)
+        assert not reports_same_scale(a, {})
 
     def test_default_specs_cover_committed_reports(self):
         # Every default spec path must resolve in the committed baselines,
@@ -114,9 +104,6 @@ class TestKinds:
         serve = json.loads((root / "BENCH_serve.json").read_text())
         for spec in SERVE_SPECS:
             assert isinstance(stats_path(serve, spec.path), (int, float)), spec
-        perf = json.loads((root / "BENCH_perf.json").read_text())
-        for spec in PERF_SPECS:
-            assert isinstance(stats_path(perf, spec.path), (int, float)), spec
 
 
 class TestCLI:
@@ -163,17 +150,7 @@ class TestCLI:
         out = str(tmp_path / "findings.json")
         assert main(["--current", path, "--baseline", path, "--json", out]) == 0
         written = json.loads((tmp_path / "findings.json").read_text())
-        assert written["kind"] == "serve"
+        assert written["same_scale"] is True
         assert {f["name"] for f in written["findings"]} == {
             s.name for s in SERVE_SPECS
         }
-
-    def test_perf_kind_autodetected(self, tmp_path, capsys):
-        doc = {
-            "meta": {"scale": "bench"},
-            "overall_speedup": 10.0,
-            "overall_walk_speedup": 4.0,
-        }
-        path = self._write(tmp_path, "p.json", doc)
-        assert main(["--current", path, "--baseline", path]) == 0
-        assert "kind=perf" in capsys.readouterr().out

@@ -79,6 +79,36 @@ class TestTiers:
         assert counters.get("serve.batch.queries") == 3
 
 
+class TestWorkerCaches:
+    def test_batches_leave_nothing_behind(self):
+        """Trace cache and walk memo live and die with their batch, and the
+        predictor store holds only the latest batch's entries: every key
+        names a batch's own program or trace, so nothing could hit later."""
+        from repro.engine.spec_predictor import default_spec_store
+        from repro.engine.trace_cache import default_trace_cache
+        from repro.engine.walk_memo import default_walk_memo
+        from repro.serve.query import query_digest
+        from repro.serve.server import _worker_run_batch
+
+        def batch(workload):
+            queries = [
+                Query(program={"workload": workload}, strategy=s)
+                for s in ("LADM", "H-CODA")
+            ]
+            return [(query_digest(q), q.to_doc(), None) for q in queries]
+
+        traces, memo = default_trace_cache(), default_walk_memo()
+        store = default_spec_store()
+        traces_before, memo_before = len(traces), len(memo)
+        first = _worker_run_batch(batch("lstm1"))
+        first_keys = list(store._entries)
+        assert first_keys, "the first batch taught the predictor nothing"
+        second = _worker_run_batch(batch("conv"))
+        assert all(err is None for _, _, err in first["results"] + second["results"])
+        assert (len(traces), len(memo)) == (traces_before, memo_before)
+        assert not any(key in store._entries for key in first_keys)
+
+
 class TestParity:
     """The serving-layer bar: served == direct execution, bit-exact."""
 
